@@ -1,5 +1,5 @@
 // Package ext2 implements a minimal ext2 (revision 0) filesystem image
-// writer and reader: a single block group with 1 KiB blocks, direct plus
+// writer and reader: block groups of 8 MiB with 1 KiB blocks, direct plus
 // single- and double-indirect block pointers, and ext2_dir_entry_2
 // directory entries. The Lupine pipeline (Figure 2) converts a container
 // root filesystem into such an image, and the guest kernel mounts it as
@@ -39,10 +39,17 @@ const (
 )
 
 // File is a node in the tree to be written into (or read out of) an image.
+//
+// Data is never copied by this package on the way in: WriteImage reads it
+// once, straight into the image. On the way out, ReadImage returns Data
+// as a capped subslice of the image for every file stored contiguously
+// (appending reallocates, but writing in place would write the image), so
+// Data from ReadImage must be treated as read-only; replace it rather
+// than modify it. The guest VFS shares it copy-on-write.
 type File struct {
 	Name     string // base name; "" only for the root directory
 	Mode     uint16 // permission bits (type bits added automatically)
-	Data     []byte // regular file contents or symlink target
+	Data     []byte // regular file contents or symlink target; see below
 	Dir      bool
 	Symlink  bool
 	Children []*File // for directories

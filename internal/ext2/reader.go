@@ -7,15 +7,22 @@ import (
 )
 
 // ReadImage parses a complete ext2 image (as produced by WriteImage, or
-// any single-block-group rev-0 image with 1 KiB blocks) back into a file
-// tree rooted at a nameless directory. Corruption anywhere in the image
-// surfaces as an error wrapping ErrIO (see errors.go), never as a panic.
+// any rev-0 image with 1 KiB blocks) back into a file tree rooted at a
+// nameless directory. Corruption anywhere in the image surfaces as an
+// error wrapping ErrIO (see errors.go), never as a panic.
+//
+// A file whose blocks are contiguous in the image gets a Data that
+// aliases img (capped, so appending to it reallocates): neither img nor
+// such a Data may be modified while the other is in use. Files that
+// cross a block-group boundary are copied out.
 func ReadImage(img []byte) (*File, error) {
 	return ReadImageInjected(img, nil)
 }
 
 // ReadImageInjected is ReadImage with the ext2/block-read fault site
-// armed: every block fetch consults inj (nil behaves like ReadImage).
+// armed: every block fetch consults inj, and file data is always copied
+// block by block, so a fault lands on exactly one fetch. An injector with
+// no rule for the site (or nil) behaves like ReadImage.
 func ReadImageInjected(img []byte, inj *faults.Injector) (*File, error) {
 	r, err := newReader(img, inj)
 	if err != nil {
@@ -31,7 +38,7 @@ func ReadImageInjected(img []byte, inj *faults.Injector) (*File, error) {
 
 type reader struct {
 	img            []byte
-	inj            *faults.Injector
+	inj            *faults.Injector // nil unless it arms SiteBlockRead
 	inodesPerGroup uint32
 	inodesTotal    uint32
 	totalBlocks    uint32
@@ -48,6 +55,9 @@ func newReader(img []byte, inj *faults.Injector) (*reader, error) {
 	}
 	if logBlock := le.Uint32(sb[24:]); logBlock != 0 {
 		return nil, fmt.Errorf("%w: unsupported block size %d", ErrBadSuperblock, BlockSize<<logBlock)
+	}
+	if !inj.Arms(SiteBlockRead) {
+		inj = nil
 	}
 	r := &reader{
 		img:            img,
@@ -91,8 +101,8 @@ func (r *reader) inodeTableOf(g uint32) uint32 {
 // copy of the block (the image itself stays intact, like a transient
 // controller error).
 func (r *reader) block(n uint32) ([]byte, error) {
-	if n == 0 || n >= r.totalBlocks {
-		return nil, fmt.Errorf("%w: block %d out of range", ErrIO, n)
+	if err := r.inRange(n); err != nil {
+		return nil, err
 	}
 	b := r.img[int(n)*BlockSize : (int(n)+1)*BlockSize]
 	if d := r.inj.Hit(SiteBlockRead, 0); d.Fire {
@@ -105,6 +115,13 @@ func (r *reader) block(n uint32) ([]byte, error) {
 		return flipped, nil
 	}
 	return b, nil
+}
+
+func (r *reader) inRange(n uint32) error {
+	if n == 0 || n >= r.totalBlocks {
+		return fmt.Errorf("%w: block %d out of range", ErrIO, n)
+	}
+	return nil
 }
 
 type rawInode struct {
@@ -137,23 +154,45 @@ func (r *reader) inode(ino uint32) (*rawInode, error) {
 }
 
 // readData collects a file's contents through direct and indirect blocks.
+// With no injector armed, data blocks are only range-checked while they
+// run contiguously, and the result is a capped subslice of the image; the
+// first discontiguous block (or an armed injector) switches to copying
+// through block, so every armed fetch is still a Hit.
 func (r *reader) readData(in *rawInode) ([]byte, error) {
 	if int64(in.size) > int64(maxFileBlocks)*BlockSize {
 		return nil, fmt.Errorf("%w: size %d exceeds maximum file size", ErrCorruptInode, in.size)
 	}
 	remaining := int(in.size)
-	out := make([]byte, 0, remaining)
+	var out []byte
+	slicing := r.inj == nil
+	if !slicing {
+		out = make([]byte, 0, remaining)
+	}
+	var first, next uint32 // the contiguous run [first, next) while slicing
 	appendBlock := func(bn uint32) error {
 		if remaining <= 0 {
 			return nil
 		}
+		n := min(remaining, BlockSize)
+		if slicing {
+			if err := r.inRange(bn); err != nil {
+				return err
+			}
+			if next == 0 {
+				first = bn
+			}
+			if next == 0 || bn == next {
+				next = bn + 1
+				remaining -= n
+				return nil
+			}
+			slicing = false
+			out = make([]byte, 0, int(in.size))
+			out = append(out, r.img[int(first)*BlockSize:int(next)*BlockSize]...)
+		}
 		b, err := r.block(bn)
 		if err != nil {
 			return err
-		}
-		n := remaining
-		if n > BlockSize {
-			n = BlockSize
 		}
 		out = append(out, b[:n]...)
 		remaining -= n
@@ -168,17 +207,22 @@ func (r *reader) readData(in *rawInode) ([]byte, error) {
 		}
 	}
 	if remaining > 0 && in.block[12] != 0 {
-		if err := r.walkIndirect(in.block[12], 1, func(bn uint32) error { return appendBlock(bn) }); err != nil {
+		if err := r.walkIndirect(in.block[12], 1, appendBlock); err != nil {
 			return nil, err
 		}
 	}
 	if remaining > 0 && in.block[13] != 0 {
-		if err := r.walkIndirect(in.block[13], 2, func(bn uint32) error { return appendBlock(bn) }); err != nil {
+		if err := r.walkIndirect(in.block[13], 2, appendBlock); err != nil {
 			return nil, err
 		}
 	}
 	if remaining > 0 {
 		return nil, fmt.Errorf("%w: claims %d bytes but blocks are exhausted", ErrCorruptInode, in.size)
+	}
+	if slicing {
+		a := int(first) * BlockSize
+		b := a + int(in.size)
+		return r.img[a:b:b], nil
 	}
 	return out, nil
 }

@@ -4,6 +4,14 @@ import "fmt"
 
 // WriteImage serializes the file tree rooted at root (which must be a
 // directory; its Name is ignored) into a complete ext2 image.
+//
+// The image is sized before anything is written: a planning pass counts
+// every node's data and indirect blocks, which fixes the group geometry,
+// and the image is then allocated once and every block is written
+// straight to its final address. Data blocks are laid out in write order
+// — a directory's children (depth first, by name) before the directory's
+// own entries, and a file's data blocks before its indirect blocks —
+// filling each group's data area before moving to the next.
 func WriteImage(root *File) ([]byte, error) {
 	if root == nil || !root.Dir {
 		return nil, fmt.Errorf("ext2: root must be a directory")
@@ -12,181 +20,297 @@ func WriteImage(root *File) ([]byte, error) {
 		return nil, err
 	}
 
-	w := &writer{}
-	w.plan(root)
-
+	w := &writer{inodeOf: map[*File]uint32{root: rootInode}, dirs: make(map[*File]dirPlan)}
 	// Assign inode numbers: root gets 2, everything else sequentially.
-	w.assign(root, rootInode)
-
-	// Serialize file and directory contents into data blocks.
-	if err := w.writeNode(root, rootInode, rootInode); err != nil {
+	w.assign(root)
+	dataBlocks, err := w.plan(root, rootInode)
+	if err != nil {
 		return nil, err
 	}
-	return w.finish()
-}
-
-type inodeInfo struct {
-	mode       uint16
-	size       uint32
-	links      uint16
-	block      [15]uint32 // direct/indirect pointers as in struct ext2_inode
-	dataInline []byte     // fast symlink target stored in i_block
-	blocks512  uint32     // count of 512-byte sectors, including indirect blocks
+	if err := w.layout(dataBlocks); err != nil {
+		return nil, err
+	}
+	w.ids = make([]uint32, 0, w.maxFileBlocks)
+	w.writeNode(root, rootInode)
+	w.finish()
+	return w.img, nil
 }
 
 type writer struct {
-	inodeCount int
-	inodeOf    map[*File]uint32
-	inodes     map[uint32]*inodeInfo
-	data       [][]byte // allocated data blocks in order
+	inodeCount    int
+	inodeOf       map[*File]uint32
+	dirs          map[*File]dirPlan
+	dirCount      int
+	maxFileBlocks int // largest data-block count of any one node
+
+	img   []byte
+	geo   []groupGeometry
+	group int      // group holding the next data block
+	next  int      // next free data block
+	ids   []uint32 // scratch: the current file's data block numbers
 }
 
-// plan counts inodes so geometry can be fixed before writing.
-func (w *writer) plan(root *File) {
-	w.inodeOf = make(map[*File]uint32)
-	w.inodes = make(map[uint32]*inodeInfo)
-	count := 0
-	root.Walk(func(_ string, n *File) { count++ })
-	w.inodeCount = count
+// dirPlan is a directory's children in write order and its encoded
+// entries, fixed by the planning pass.
+type dirPlan struct {
+	children []*File
+	entries  []byte
 }
 
-func (w *writer) assign(root *File, rootIno uint32) {
+// assign numbers every node below root in depth-first order, children in
+// tree order.
+func (w *writer) assign(root *File) {
 	next := uint32(firstFreeInode)
-	w.inodeOf[root] = rootIno
-	root.Walk(func(_ string, n *File) {
-		if n == root {
-			return
+	var rec func(n *File)
+	rec = func(n *File) {
+		for _, c := range n.Children {
+			w.inodeOf[c] = next
+			next++
+			rec(c)
 		}
-		w.inodeOf[n] = next
-		next++
-	})
+	}
+	rec(root)
+	w.inodeCount = int(next) - firstFreeInode + 1
 }
 
-// allocBlock appends a data block and returns its absolute block number.
-// Data blocks are laid out after the metadata area; the offset is fixed in
-// finish(), so block numbers here are provisional indices resolved later.
-func (w *writer) allocBlock(b []byte) uint32 {
-	if len(b) > BlockSize {
-		panic("ext2: oversized block")
-	}
-	blk := make([]byte, BlockSize)
-	copy(blk, b)
-	w.data = append(w.data, blk)
-	return uint32(len(w.data)) // 1-based provisional index
-}
-
-// storeData writes content into data blocks and fills the inode's block
-// pointers, using direct, single-indirect and double-indirect blocks.
-func (w *writer) storeData(ino *inodeInfo, content []byte) error {
-	nblocks := (len(content) + BlockSize - 1) / BlockSize
-	if nblocks > maxFileBlocks {
-		return fmt.Errorf("ext2: file of %d bytes exceeds maximum size", len(content))
-	}
-	blockIDs := make([]uint32, 0, nblocks)
-	for i := 0; i < nblocks; i++ {
-		end := (i + 1) * BlockSize
-		if end > len(content) {
-			end = len(content)
-		}
-		blockIDs = append(blockIDs, w.allocBlock(content[i*BlockSize:end]))
-	}
-	dataBlocks := uint32(nblocks)
-
-	// Direct pointers.
-	for i := 0; i < len(blockIDs) && i < directBlocks; i++ {
-		ino.block[i] = blockIDs[i]
-	}
-	rest := blockIDs
-	if len(rest) > directBlocks {
-		rest = rest[directBlocks:]
-	} else {
-		rest = nil
-	}
-	// Single indirect.
-	if len(rest) > 0 {
-		n := len(rest)
-		if n > pointersPerBlock {
-			n = pointersPerBlock
-		}
-		ino.block[12] = w.allocPointerBlock(rest[:n])
-		dataBlocks++
-		rest = rest[n:]
-	}
-	// Double indirect.
-	if len(rest) > 0 {
-		var l1 []uint32
-		for len(rest) > 0 {
-			n := len(rest)
-			if n > pointersPerBlock {
-				n = pointersPerBlock
-			}
-			l1 = append(l1, w.allocPointerBlock(rest[:n]))
-			dataBlocks++
-			rest = rest[n:]
-		}
-		ino.block[13] = w.allocPointerBlock(l1)
-		dataBlocks++
-	}
-	ino.size = uint32(len(content))
-	ino.blocks512 = dataBlocks * (BlockSize / 512)
-	return nil
-}
-
-func (w *writer) allocPointerBlock(ptrs []uint32) uint32 {
-	b := make([]byte, BlockSize)
-	for i, p := range ptrs {
-		le.PutUint32(b[i*4:], p)
-	}
-	return w.allocBlock(b)
-}
-
-// writeNode serializes one node (and, for directories, recursively its
-// children) into inodes and data blocks.
-func (w *writer) writeNode(n *File, ino, parentIno uint32) error {
-	info := &inodeInfo{links: 1}
-	w.inodes[ino] = info
+// plan returns the number of data blocks (including indirect blocks)
+// the subtree at n occupies, encoding each directory's entries on the
+// way. It visits nodes in write order, so a size error names the same
+// file writing it would.
+func (w *writer) plan(n *File, parentIno uint32) (int, error) {
 	switch {
 	case n.Dir:
-		info.mode = modeDir | (n.Mode & 0o7777)
-		info.links = 2 // "." and the parent's entry
+		total := 0
+		children := n.sortedChildren()
 		entries := []dirEntry{
-			{ino: ino, name: ".", ftype: fileTypeDir},
+			{ino: w.inodeOf[n], name: ".", ftype: fileTypeDir},
 			{ino: parentIno, name: "..", ftype: fileTypeDir},
 		}
-		for _, c := range n.sortedChildren() {
-			cIno := w.inodeOf[c]
+		for _, c := range children {
 			ft := byte(fileTypeRegular)
 			switch {
 			case c.Dir:
 				ft = fileTypeDir
-				info.links++ // child's ".." references us
 			case c.Symlink:
 				ft = fileTypeSymlink
 			}
-			entries = append(entries, dirEntry{ino: cIno, name: c.Name, ftype: ft})
-			if err := w.writeNode(c, cIno, ino); err != nil {
-				return err
+			entries = append(entries, dirEntry{ino: w.inodeOf[c], name: c.Name, ftype: ft})
+			k, err := w.plan(c, w.inodeOf[n])
+			if err != nil {
+				return 0, err
 			}
+			total += k
 		}
-		if err := w.storeData(info, encodeDirEntries(entries)); err != nil {
-			return err
-		}
-	case n.Symlink:
-		info.mode = modeSymlink | (n.Mode & 0o7777)
-		if len(n.Data) < 60 {
-			// Fast symlink: target lives in the i_block area.
-			info.dataInline = append([]byte(nil), n.Data...)
-			info.size = uint32(len(n.Data))
-		} else if err := w.storeData(info, n.Data); err != nil {
-			return err
-		}
+		enc := encodeDirEntries(entries)
+		w.dirs[n] = dirPlan{children: children, entries: enc}
+		k, err := w.countBlocks(len(enc))
+		return total + k, err
+	case n.Symlink && len(n.Data) < 60:
+		return 0, nil // fast symlink: target lives in the inode
 	default:
-		info.mode = modeFile | (n.Mode & 0o7777)
-		if err := w.storeData(info, n.Data); err != nil {
-			return err
+		return w.countBlocks(len(n.Data))
+	}
+}
+
+// countBlocks returns how many blocks content of size bytes occupies:
+// its data blocks plus the single- and double-indirect pointer blocks
+// storeData allocates for them.
+func (w *writer) countBlocks(size int) (int, error) {
+	n := (size + BlockSize - 1) / BlockSize
+	if n > maxFileBlocks {
+		return 0, fmt.Errorf("ext2: file of %d bytes exceeds maximum size", size)
+	}
+	w.maxFileBlocks = max(w.maxFileBlocks, n)
+	total := n
+	if n > directBlocks {
+		total++ // single indirect
+	}
+	if rest := n - directBlocks - pointersPerBlock; rest > 0 {
+		total += (rest+pointersPerBlock-1)/pointersPerBlock + 1 // level-1 blocks + double indirect
+	}
+	return total, nil
+}
+
+// Multi-group geometry. Each block group spans blocksPerGroup blocks and
+// holds its own block bitmap, inode bitmap and inode-table slice; the
+// superblock and the group descriptor table live in group 0 only (the
+// sparse-superblock layout). inodesPerGroup is fixed so an inode's group
+// is ino/inodesPerGroup.
+const (
+	blocksPerGroup = BlockSize * 8 // one bitmap block covers the group
+	inodesPerGroup = 512
+	inodeTableBlks = inodesPerGroup * InodeSize / BlockSize // 64
+	maxGroups      = 1024                                   // 8 GiB images; far beyond any rootfs here
+)
+
+// groupGeometry describes the computed layout of one block group.
+type groupGeometry struct {
+	start      int // first block of the group
+	blockBM    int
+	inodeBM    int
+	inodeTable int
+	dataStart  int
+	dataEnd    int // exclusive; trimmed for the final group
+}
+
+// usedInodes counts the reserved inodes plus every non-root node (the
+// root occupies reserved slot 2).
+func (w *writer) usedInodes() int { return firstFreeInode - 1 + w.inodeCount - 1 }
+
+// layout fixes the group count and each group's geometry for dataBlocks
+// data blocks, then allocates the image.
+func (w *writer) layout(dataBlocks int) error {
+	inodeGroups := (w.usedInodes() + inodesPerGroup - 1) / inodesPerGroup
+
+	// Determine the group count: group 0 additionally carries the
+	// superblock and the GDT, so its data capacity depends on the group
+	// count itself — iterate until stable.
+	groups := max(inodeGroups, 1)
+	for {
+		gdtBlocks := (groups*32 + BlockSize - 1) / BlockSize
+		capacity := groups*(blocksPerGroup-2-inodeTableBlks) - 1 - gdtBlocks
+		if capacity >= dataBlocks {
+			break
+		}
+		groups++
+		if groups > maxGroups {
+			return fmt.Errorf("ext2: image needs more than %d block groups", maxGroups)
 		}
 	}
+	gdtBlocks := (groups*32 + BlockSize - 1) / BlockSize
+
+	// Lay out each group and fill group data areas in order.
+	w.geo = make([]groupGeometry, groups)
+	for g := range w.geo {
+		start := firstDataBlock + g*blocksPerGroup
+		meta := start
+		if g == 0 {
+			meta += 1 + gdtBlocks // skip superblock + GDT
+		}
+		dataStart := meta + 2 + inodeTableBlks
+		take := min(dataBlocks, start+blocksPerGroup-dataStart)
+		dataBlocks -= take
+		w.geo[g] = groupGeometry{
+			start:      start,
+			blockBM:    meta,
+			inodeBM:    meta + 1,
+			inodeTable: meta + 2,
+			dataStart:  dataStart,
+			dataEnd:    dataStart + take,
+		}
+	}
+	w.img = make([]byte, w.geo[groups-1].dataEnd*BlockSize)
+	w.next = w.geo[0].dataStart
 	return nil
+}
+
+// allocBlock claims the next data block in layout order and returns its
+// absolute block number.
+func (w *writer) allocBlock() uint32 {
+	for w.next == w.geo[w.group].dataEnd {
+		w.group++
+		w.next = w.geo[w.group].dataStart
+	}
+	b := w.next
+	w.next++
+	return uint32(b)
+}
+
+// blockAt returns block n of the image.
+func (w *writer) blockAt(n uint32) []byte {
+	return w.img[int(n)*BlockSize : (int(n)+1)*BlockSize]
+}
+
+// inodeSlot returns inode ino's 128-byte slot in its group's inode table.
+func (w *writer) inodeSlot(ino uint32) []byte {
+	idx := int(ino) - 1
+	off := w.geo[idx/inodesPerGroup].inodeTable*BlockSize + (idx%inodesPerGroup)*InodeSize
+	return w.img[off : off+InodeSize]
+}
+
+// storeData writes content into data blocks and fills the inode's size,
+// sector count and block pointers, using direct, single-indirect and
+// double-indirect blocks. plan has already checked the size.
+func (w *writer) storeData(slot, content []byte) {
+	ids := w.ids[:0]
+	for off := 0; off < len(content); off += BlockSize {
+		b := w.allocBlock()
+		copy(w.blockAt(b), content[off:min(off+BlockSize, len(content))])
+		ids = append(ids, b)
+	}
+	used := len(ids)
+
+	// Direct pointers.
+	direct := min(len(ids), directBlocks)
+	for i, b := range ids[:direct] {
+		le.PutUint32(slot[40+4*i:], b)
+	}
+	rest := ids[direct:]
+	// Single indirect.
+	if len(rest) > 0 {
+		n := min(len(rest), pointersPerBlock)
+		le.PutUint32(slot[40+4*12:], w.allocPointerBlock(rest[:n]))
+		used++
+		rest = rest[n:]
+	}
+	// Double indirect: the level-1 blocks first, then the block naming them.
+	if len(rest) > 0 {
+		var l1 [pointersPerBlock]uint32
+		k := 0
+		for ; len(rest) > 0; k++ {
+			n := min(len(rest), pointersPerBlock)
+			l1[k] = w.allocPointerBlock(rest[:n])
+			used++
+			rest = rest[n:]
+		}
+		le.PutUint32(slot[40+4*13:], w.allocPointerBlock(l1[:k]))
+		used++
+	}
+	le.PutUint32(slot[4:], uint32(len(content)))
+	le.PutUint32(slot[28:], uint32(used*(BlockSize/512)))
+}
+
+func (w *writer) allocPointerBlock(ptrs []uint32) uint32 {
+	b := w.allocBlock()
+	blk := w.blockAt(b)
+	for i, p := range ptrs {
+		le.PutUint32(blk[i*4:], p)
+	}
+	return b
+}
+
+// writeNode serializes one node (and, for directories, recursively its
+// children) into its inode slot and data blocks.
+func (w *writer) writeNode(n *File, ino uint32) {
+	slot := w.inodeSlot(ino)
+	links := uint16(1)
+	switch {
+	case n.Dir:
+		w.dirCount++
+		le.PutUint16(slot[0:], modeDir|(n.Mode&0o7777))
+		links = 2 // "." and the parent's entry
+		d := w.dirs[n]
+		for _, c := range d.children {
+			if c.Dir {
+				links++ // child's ".." references us
+			}
+			w.writeNode(c, w.inodeOf[c])
+		}
+		w.storeData(slot, d.entries)
+	case n.Symlink:
+		le.PutUint16(slot[0:], modeSymlink|(n.Mode&0o7777))
+		if len(n.Data) < 60 {
+			// Fast symlink: target lives in the i_block area.
+			copy(slot[40:100], n.Data)
+			le.PutUint32(slot[4:], uint32(len(n.Data)))
+		} else {
+			w.storeData(slot, n.Data)
+		}
+	default:
+		le.PutUint16(slot[0:], modeFile|(n.Mode&0o7777))
+		w.storeData(slot, n.Data)
+	}
+	le.PutUint16(slot[26:], links)
 }
 
 type dirEntry struct {
@@ -212,13 +336,13 @@ func encodeDirEntries(entries []dirEntry) []byte {
 		if i == len(entries)-1 {
 			recLen = BlockSize - blockUsed // last record fills the block
 		}
-		rec := make([]byte, recLen)
+		out = append(out, make([]byte, recLen)...)
+		rec := out[len(out)-recLen:]
 		le.PutUint32(rec[0:], e.ino)
 		le.PutUint16(rec[4:], uint16(recLen))
 		rec[6] = byte(len(e.name))
 		rec[7] = e.ftype
 		copy(rec[8:], e.name)
-		out = append(out, rec...)
 		blockUsed += recLen
 		if blockUsed == BlockSize {
 			blockUsed = 0
@@ -246,139 +370,21 @@ func fixLastRecLen(out []byte, blockUsed int) {
 	}
 }
 
-// Multi-group geometry. Each block group spans blocksPerGroup blocks and
-// holds its own block bitmap, inode bitmap and inode-table slice; the
-// superblock and the group descriptor table live in group 0 only (the
-// sparse-superblock layout). inodesPerGroup is fixed so an inode's group
-// is ino/inodesPerGroup.
-const (
-	blocksPerGroup = BlockSize * 8 // one bitmap block covers the group
-	inodesPerGroup = 512
-	inodeTableBlks = inodesPerGroup * InodeSize / BlockSize // 64
-	maxGroups      = 1024                                   // 8 GiB images; far beyond any rootfs here
-)
-
-// groupGeometry describes the computed layout of one block group.
-type groupGeometry struct {
-	start      int // first block of the group
-	blockBM    int
-	inodeBM    int
-	inodeTable int
-	dataStart  int
-	dataEnd    int // exclusive; trimmed for the final group
-}
-
-// finish assembles the final image: superblock, group descriptor table,
-// per-group bitmaps and inode tables, and the relocated data blocks.
-func (w *writer) finish() ([]byte, error) {
-	usedInodes := firstFreeInode - 1 + w.inodeCount - 1 // root occupies reserved slot 2
-	inodeGroups := (usedInodes + inodesPerGroup - 1) / inodesPerGroup
-
-	// Determine the group count: group 0 additionally carries the
-	// superblock and the GDT, so its data capacity depends on the group
-	// count itself — iterate until stable.
-	groups := inodeGroups
-	if groups == 0 {
-		groups = 1
-	}
-	for {
-		gdtBlocks := (groups*32 + BlockSize - 1) / BlockSize
-		capacity := 0
-		for g := 0; g < groups; g++ {
-			overhead := 2 + inodeTableBlks // bitmaps + inode table
-			if g == 0 {
-				overhead += 1 + gdtBlocks // superblock + GDT
-			}
-			capacity += blocksPerGroup - overhead
-		}
-		if capacity >= len(w.data) {
-			break
-		}
-		groups++
-		if groups > maxGroups {
-			return nil, fmt.Errorf("ext2: image needs more than %d block groups", maxGroups)
-		}
-	}
-	gdtBlocks := (groups*32 + BlockSize - 1) / BlockSize
-
-	// Lay out each group and assign data blocks to group data areas.
-	geo := make([]groupGeometry, groups)
-	absOf := make([]uint32, len(w.data)) // provisional index -> absolute block
-	assigned := 0
-	for g := 0; g < groups; g++ {
-		start := firstDataBlock + g*blocksPerGroup
-		meta := start
-		if g == 0 {
-			meta += 1 + gdtBlocks // skip superblock + GDT
-		}
-		geo[g] = groupGeometry{
-			start:      start,
-			blockBM:    meta,
-			inodeBM:    meta + 1,
-			inodeTable: meta + 2,
-			dataStart:  meta + 2 + inodeTableBlks,
-		}
-		room := start + blocksPerGroup - geo[g].dataStart
-		take := len(w.data) - assigned
-		if take > room {
-			take = room
-		}
-		for i := 0; i < take; i++ {
-			absOf[assigned+i] = uint32(geo[g].dataStart + i)
-		}
-		geo[g].dataEnd = geo[g].dataStart + take
-		assigned += take
-	}
-	totalBlocks := geo[groups-1].dataEnd
-	img := make([]byte, totalBlocks*BlockSize)
-
-	abs := func(provisional uint32) uint32 {
-		if provisional == 0 {
-			return 0
-		}
-		return absOf[provisional-1]
-	}
-	for i, blk := range w.data {
-		copy(img[int(absOf[i])*BlockSize:], blk)
-	}
-
-	// Inode tables: locate each inode's slot within its group.
-	inodeSlot := func(ino uint32) []byte {
-		idx := int(ino) - 1
-		g := idx / inodesPerGroup
-		off := geo[g].inodeTable*BlockSize + (idx%inodesPerGroup)*InodeSize
-		return img[off : off+InodeSize]
-	}
-	for ino, info := range w.inodes {
-		b := inodeSlot(ino)
-		le.PutUint16(b[0:], info.mode)
-		le.PutUint32(b[4:], info.size)
-		le.PutUint16(b[26:], info.links)
-		le.PutUint32(b[28:], info.blocks512)
-		if info.dataInline != nil {
-			copy(b[40:100], info.dataInline)
-		} else {
-			for i, p := range info.block {
-				le.PutUint32(b[40+4*i:], abs(p))
-			}
-			// Rewrite indirect pointer blocks with absolute numbers.
-			if info.block[12] != 0 {
-				w.rewritePointers(img, abs(info.block[12]), abs, 1)
-			}
-			if info.block[13] != 0 {
-				w.rewritePointers(img, abs(info.block[13]), abs, 2)
-			}
-		}
-	}
+// finish writes the metadata: per-group bitmaps, the superblock and the
+// group descriptor table.
+func (w *writer) finish() {
+	img, geo, groups := w.img, w.geo, len(w.geo)
+	usedInodes := w.usedInodes()
+	totalBlocks := len(img) / BlockSize
 
 	// Bitmaps: every metadata and assigned data block in a group is used.
-	for g := 0; g < groups; g++ {
-		bm := img[geo[g].blockBM*BlockSize : (geo[g].blockBM+1)*BlockSize]
+	for g := range geo {
+		bm := w.blockAt(uint32(geo[g].blockBM))
 		for b := geo[g].start; b < geo[g].dataEnd; b++ {
 			i := b - geo[g].start
 			bm[i/8] |= 1 << (i % 8)
 		}
-		ibm := img[geo[g].inodeBM*BlockSize : (geo[g].inodeBM+1)*BlockSize]
+		ibm := w.blockAt(uint32(geo[g].inodeBM))
 		lo := g * inodesPerGroup
 		for i := lo; i < usedInodes && i < lo+inodesPerGroup; i++ {
 			j := i - lo
@@ -387,7 +393,7 @@ func (w *writer) finish() ([]byte, error) {
 	}
 
 	// Superblock at offset 1024.
-	sb := img[1*BlockSize : 2*BlockSize]
+	sb := w.blockAt(1)
 	le.PutUint32(sb[0:], uint32(groups*inodesPerGroup))             // s_inodes_count
 	le.PutUint32(sb[4:], uint32(totalBlocks))                       // s_blocks_count
 	le.PutUint32(sb[12:], 0)                                        // s_free_blocks_count
@@ -400,42 +406,13 @@ func (w *writer) finish() ([]byte, error) {
 	le.PutUint16(sb[58:], 1)                                        // s_state: clean
 
 	// Group descriptor table starting in block 2.
-	for g := 0; g < groups; g++ {
+	for g := range geo {
 		gd := img[2*BlockSize+g*32 : 2*BlockSize+g*32+32]
 		le.PutUint32(gd[0:], uint32(geo[g].blockBM))
 		le.PutUint32(gd[4:], uint32(geo[g].inodeBM))
 		le.PutUint32(gd[8:], uint32(geo[g].inodeTable))
 		if g == 0 {
-			le.PutUint16(gd[16:], uint16(w.countDirs())) // bg_used_dirs_count
+			le.PutUint16(gd[16:], uint16(w.dirCount)) // bg_used_dirs_count
 		}
 	}
-	return img, nil
-}
-
-// rewritePointers converts the provisional block numbers inside an
-// indirect block (already copied into img) to absolute numbers. depth 1
-// rewrites a single-indirect block, depth 2 a double-indirect one.
-func (w *writer) rewritePointers(img []byte, absBlock uint32, abs func(uint32) uint32, depth int) {
-	b := img[int(absBlock)*BlockSize : (int(absBlock)+1)*BlockSize]
-	for i := 0; i < pointersPerBlock; i++ {
-		p := le.Uint32(b[i*4:])
-		if p == 0 {
-			continue
-		}
-		a := abs(p)
-		le.PutUint32(b[i*4:], a)
-		if depth == 2 {
-			w.rewritePointers(img, a, abs, 1)
-		}
-	}
-}
-
-func (w *writer) countDirs() int {
-	n := 0
-	for _, info := range w.inodes {
-		if info.mode&modeDir != 0 {
-			n++
-		}
-	}
-	return n
 }

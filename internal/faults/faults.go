@@ -247,6 +247,21 @@ func (inj *Injector) Hit(site string, now simclock.Time) Decision {
 	return out
 }
 
+// Arms reports whether any rule of the plan targets site. A site no
+// rule targets never fires, and hitting it changes no injector state, so
+// a caller may take a path without the site's Hit calls. Nil-safe.
+func (inj *Injector) Arms(site string) bool {
+	if inj == nil {
+		return false
+	}
+	for _, r := range inj.plan.Rules {
+		if r.Site == site {
+			return true
+		}
+	}
+	return false
+}
+
 // Observe makes every subsequent fault firing an instant event on the
 // tracer, on the given track. Nil-safe on both sides.
 func (inj *Injector) Observe(tr *telemetry.Tracer, track string) {

@@ -111,6 +111,17 @@ func TestNilInjectorNeverFires(t *testing.T) {
 	}
 }
 
+func TestArmsNamesTargetedSitesOnly(t *testing.T) {
+	inj := MustNew(Plan{Rules: []Rule{{Site: "test/alpha", NthHit: 1}}})
+	if !inj.Arms("test/alpha") || inj.Arms("test/beta") {
+		t.Errorf("Arms(alpha) = %v, Arms(beta) = %v; want true, false", inj.Arms("test/alpha"), inj.Arms("test/beta"))
+	}
+	var none *Injector
+	if none.Arms("test/alpha") {
+		t.Error("nil injector arms a site")
+	}
+}
+
 func TestRulesAreIndependent(t *testing.T) {
 	inj := MustNew(Plan{Rules: []Rule{
 		{Site: "test/alpha", NthHit: 1, Param: 1},

@@ -30,13 +30,16 @@ const (
 
 // vnode is an in-memory inode. The root filesystem is materialized from a
 // real ext2 image at mount time; /proc, /tmp and /dev are synthetic
-// filesystems gated on their configuration options.
+// filesystems gated on their configuration options. Root-filesystem file
+// data is shared with the ext2 tree (and through it with the image bytes)
+// copy-on-write: the first write into a shared vnode copies its data.
 type vnode struct {
 	name     string
 	dir      bool
 	symlink  bool
 	mode     uint16
 	data     []byte
+	shared   bool // data aliases the ext2 tree's bytes: copy before mutating
 	children map[string]*vnode
 	dev      deviceKind
 	fsType   string
@@ -88,7 +91,8 @@ func importExt2(f *ext2.File, fsType string) *vnode {
 			n.children[c.Name] = importExt2(c, fsType)
 		}
 	} else {
-		n.data = append([]byte(nil), f.Data...)
+		n.data = f.Data
+		n.shared = true
 	}
 	return n
 }
@@ -318,7 +322,7 @@ func (p *Proc) Open(path string, flags int) (int, Errno) {
 		node = &vnode{name: node.name, mode: node.mode, fsType: "proc", data: node.procGen(p.k)}
 	}
 	if flags&OTrunc != 0 && !node.dir && node.dev == devNone {
-		node.data = nil
+		node.data, node.shared = nil, false
 	}
 	fd := &FD{refs: 1, kind: fdFile, node: node, flags: flags}
 	if flags&OAppend != 0 {
@@ -446,12 +450,12 @@ func (p *Proc) writeFile(f *FD, buf []byte) (int, Errno) {
 	if f.node.fsType == "proc" {
 		return 0, EACCES
 	}
-	// Grow the file as needed.
+	// Grow the file as needed; a shared file is copied first.
 	end := f.offset + int64(len(buf))
-	if end > int64(len(f.node.data)) {
-		grown := make([]byte, end)
+	if end > int64(len(f.node.data)) || f.node.shared {
+		grown := make([]byte, max(end, int64(len(f.node.data))))
 		copy(grown, f.node.data)
-		f.node.data = grown
+		f.node.data, f.node.shared = grown, false
 	}
 	copy(f.node.data[f.offset:], buf)
 	f.offset = end
@@ -738,7 +742,7 @@ func (p *Proc) Ftruncate(fd int, size int64) Errno {
 	case size > cur:
 		grown := make([]byte, size)
 		copy(grown, f.node.data)
-		f.node.data = grown
+		f.node.data, f.node.shared = grown, false
 	}
 	return OK
 }

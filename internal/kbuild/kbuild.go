@@ -52,7 +52,7 @@ type Image struct {
 	Size           int64             // bytes
 	BootOptionCost simclock.Duration // sum of enabled options' init costs
 
-	gated map[string]string // syscall -> option that gates it
+	gated map[string]string // syscall -> option that gates it; shared with the DB, read-only
 }
 
 // Build compiles a resolved configuration into an image.
@@ -64,7 +64,7 @@ func Build(db *kerneldb.DB, name string, cfg *kconfig.Config, opt OptLevel) (*Im
 		Name:   name,
 		Config: cfg,
 		Opt:    opt,
-		gated:  make(map[string]string),
+		gated:  db.SyscallGates(),
 	}
 	var size int64 = coreSize
 	for _, n := range cfg.Names() {
@@ -77,13 +77,6 @@ func Build(db *kerneldb.DB, name string, cfg *kconfig.Config, opt OptLevel) (*Im
 		info := db.Info(n)
 		size += info.Size
 		img.BootOptionCost += info.Boot
-	}
-	// Syscall gating is a property of the *tree*, not the config: a
-	// syscall is unavailable iff its gating option exists and is disabled.
-	for _, o := range db.Kconfig.Options() {
-		for _, sc := range db.Info(o.Name).Syscalls {
-			img.gated[sc] = o.Name
-		}
 	}
 	if opt == Os {
 		size = int64(float64(size) * osSizeFactor)

@@ -100,6 +100,12 @@ type DB struct {
 
 	versionOnce sync.Once
 	version     string
+
+	baseOnce sync.Once
+	base     []string // LupineBaseOptions, sorted
+
+	gatesOnce sync.Once
+	gates     map[string]string // syscall -> gating option
 }
 
 // Version returns a short digest identifying this kernel tree: every

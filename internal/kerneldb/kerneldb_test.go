@@ -390,3 +390,39 @@ func TestAllocatorChoice(t *testing.T) {
 		t.Errorf("SLOB kernel = SLOB:%v SLUB:%v", cfg.Enabled("SLOB"), cfg.Enabled("SLUB"))
 	}
 }
+
+func TestLupineBaseOptionsMemoizedCopy(t *testing.T) {
+	db := MustLoad()
+	a := db.LupineBaseOptions()
+	want := db.optionsWhere(func(i Info) bool { return i.Class == ClassBase })
+	if strings.Join(a, ",") != strings.Join(want, ",") {
+		t.Fatal("memoized lupine-base list differs from a fresh scan")
+	}
+	a[0] = "SCRIBBLED"
+	if b := db.LupineBaseOptions(); b[0] == "SCRIBBLED" {
+		t.Fatal("LupineBaseOptions returned the memoized slice itself")
+	}
+	if n := testing.AllocsPerRun(10, func() { db.LupineBaseOptions() }); n > 1 {
+		t.Errorf("LupineBaseOptions allocates %.0f times per call, want 1 (the copy)", n)
+	}
+}
+
+func TestSyscallGatesMatchesTree(t *testing.T) {
+	db := MustLoad()
+	gates := db.SyscallGates()
+	n := 0
+	for _, o := range db.Kconfig.Options() {
+		for _, sc := range db.Info(o.Name).Syscalls {
+			n++
+			if gates[sc] != o.Name {
+				t.Errorf("SyscallGates[%s] = %q, want %s", sc, gates[sc], o.Name)
+			}
+		}
+	}
+	if len(gates) != n {
+		t.Errorf("%d gated syscalls for %d annotations: some syscall is gated twice", len(gates), n)
+	}
+	if _, ok := gates["read"]; ok {
+		t.Error("read is gated")
+	}
+}

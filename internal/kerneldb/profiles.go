@@ -13,9 +13,13 @@ func (db *DB) MicroVMOptions() []string {
 	return db.optionsWhere(func(i Info) bool { return i.Class.InMicroVM() })
 }
 
-// LupineBaseOptions returns the 283 options retained in lupine-base.
+// LupineBaseOptions returns the 283 options retained in lupine-base,
+// sorted. The list is computed once per DB; callers get their own copy.
 func (db *DB) LupineBaseOptions() []string {
-	return db.optionsWhere(func(i Info) bool { return i.Class == ClassBase })
+	db.baseOnce.Do(func() {
+		db.base = db.optionsWhere(func(i Info) bool { return i.Class == ClassBase })
+	})
+	return append([]string(nil), db.base...)
 }
 
 // RemovedOptions returns the ~550 microVM options removed to form
@@ -175,18 +179,25 @@ func (db *DB) SyscallsFor(options []string) []string {
 	return out
 }
 
-// OptionForSyscall finds which option gates the given system call, or ""
-// if the call is unconditionally available.
-func (db *DB) OptionForSyscall(syscall string) string {
-	for _, o := range db.Kconfig.Options() {
-		for _, sc := range db.info[o.Name].Syscalls {
-			if sc == syscall {
-				return o.Name
+// SyscallGates maps every gated system call to the option that gates it
+// (Table 1; no syscall is gated by two options). Gating is a property of
+// the tree, not of a configuration, so the table is built once per DB.
+// The map is shared: callers must not modify it.
+func (db *DB) SyscallGates() map[string]string {
+	db.gatesOnce.Do(func() {
+		db.gates = make(map[string]string)
+		for _, o := range db.Kconfig.Options() {
+			for _, sc := range db.info[o.Name].Syscalls {
+				db.gates[sc] = o.Name
 			}
 		}
-	}
-	return ""
+	})
+	return db.gates
 }
+
+// OptionForSyscall finds which option gates the given system call, or ""
+// if the call is unconditionally available.
+func (db *DB) OptionForSyscall(syscall string) string { return db.SyscallGates()[syscall] }
 
 // ResolveProfile resolves a request against the tree and fails on
 // warnings: profile configurations must be dependency-clean.
