@@ -155,6 +155,15 @@ func (st *Stream) Intn(n int) int {
 	return int(st.Uint64() % uint64(n))
 }
 
+// Jitter draws a delay from [0,span); a non-positive span is no jitter
+// and draws nothing.
+func (st *Stream) Jitter(span simclock.Duration) simclock.Duration {
+	if span <= 0 {
+		return 0
+	}
+	return simclock.Duration(st.Intn(int(span)))
+}
+
 // Injector evaluates a Plan against a stream of site hits. One injector
 // carries state (hit counts, fire counts, the random stream) across a
 // whole VM lifecycle including supervisor reboots, so "fail the first

@@ -39,15 +39,16 @@ func (o Outcome) String() string {
 	return "?"
 }
 
-// NewAttached assembles a fleet cell on an external engine and a shared
+// NewAttached assembles a fleet cell on the owner's engine and a shared
 // fabric. Its balancer node and every backend NIC are switched into
 // zone (so intra-cell traffic never crosses a trunk), and traffic
 // arrives only via Inject. Start begins the heartbeat loop; Stop halts
-// it so the owner's heap can drain.
-func NewAttached(cfg Config, sched fabric.Scheduler, net *fabric.Network, zone string, inj *faults.Injector) *Fleet {
+// it so the owner's engine can drain.
+func NewAttached(cfg Config, eng *simclock.Engine, net *fabric.Network, zone string, inj *faults.Injector) *Fleet {
 	f := &Fleet{
 		cfg:         cfg,
-		ext:         sched,
+		eng:         eng,
+		attached:    true,
 		zone:        zone,
 		inj:         inj,
 		arrivalRng:  faults.NewStream(cfg.Seed),
@@ -70,16 +71,13 @@ func NewAttached(cfg Config, sched fabric.Scheduler, net *fabric.Network, zone s
 	return f
 }
 
-// Attached reports whether this fleet is an attached-mode cell.
-func (f *Fleet) Attached() bool { return f.ext != nil }
-
 // Start begins an attached fleet's heartbeat loop.
 func (f *Fleet) Start(now simclock.Time) {
-	f.schedule(now.Add(f.cfg.ProbeInterval), f.probeTick)
+	f.eng.Schedule(now.Add(f.cfg.ProbeInterval), f.probeTick)
 }
 
 // Stop halts the heartbeat loop at its next tick, letting the owning
-// engine's heap drain once in-flight work resolves.
+// engine drain once in-flight work resolves.
 func (f *Fleet) Stop() { f.stopped = true }
 
 // Inject offers one request to an attached fleet at now. done (may be
@@ -123,9 +121,3 @@ func (f *Fleet) Finish(now simclock.Time) Result {
 	f.res.End = now
 	return f.res
 }
-
-// ActiveCount reports structurally active pool members.
-func (f *Fleet) ActiveCount() int { return f.activeCount() }
-
-// Resolved reports how many injected requests have resolved.
-func (f *Fleet) Resolved() int { return f.resolved }

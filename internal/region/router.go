@@ -46,12 +46,13 @@ func (p *Plane) routeRequest(r *greq, now simclock.Time) {
 // skipping the region a retry just failed against when any alternative
 // exists.
 func (p *Plane) pickRegion(r *greq) *Region {
-	var live []*Region
+	live := p.live[:0]
 	for _, reg := range p.regions {
 		if !reg.dead {
 			live = append(live, reg)
 		}
 	}
+	p.live = live
 	if len(live) == 0 {
 		return nil
 	}
@@ -156,7 +157,7 @@ func (p *Plane) probeTick(now simclock.Time) {
 		})
 	}
 	if !p.finished {
-		p.schedule(now.Add(p.cfg.ProbeInterval), p.probeTick)
+		p.eng.Schedule(now.Add(p.cfg.ProbeInterval), p.probeTick)
 	}
 }
 
@@ -204,5 +205,5 @@ func (p *Plane) declareDead(reg *Region, now simclock.Time) {
 		p.tr.Trip(p.trTrack, "failover:"+reg.name, now)
 	}
 	rr := reg
-	p.schedule(now.Add(p.cfg.EvacuateAfter), func(t simclock.Time) { p.maybeEvacuate(rr, t) })
+	p.eng.Schedule(now.Add(p.cfg.EvacuateAfter), func(t simclock.Time) { p.maybeEvacuate(rr, t) })
 }

@@ -19,14 +19,14 @@ go vet ./...
 echo "== go test -race"
 go test -race ./...
 
-# The concurrency-sensitive planes (fleet event engine, network fabric,
-# supervisor, snapshot store, memory accountant, guest balloon,
+# The concurrency-sensitive planes (simclock event engine, fleet,
+# network fabric, supervisor, snapshot store, memory accountant, guest balloon,
 # telemetry plane, multi-region control plane, build pipeline + farm,
 # attack plane, SLO plane) get a second racing pass with fresh test
 # binaries: -count=2 defeats result caching and shakes out run-to-run
 # nondeterminism the bit-for-bit replay guarantees forbid.
-echo "== go test -race -count=2 (fleet, fabric, vmm, snapshot, hostmem, guest, telemetry, region, bunny, farm, attack, slo)"
-go test -race -count=2 ./internal/fleet/... ./internal/fabric/... ./internal/vmm/... \
+echo "== go test -race -count=2 (simclock, fleet, fabric, vmm, snapshot, hostmem, guest, telemetry, region, bunny, farm, attack, slo)"
+go test -race -count=2 ./internal/simclock/... ./internal/fleet/... ./internal/fabric/... ./internal/vmm/... \
     ./internal/snapshot/... ./internal/hostmem/... ./internal/guest/... ./internal/telemetry/... \
     ./internal/region/... ./internal/bunny/... ./internal/farm/... ./internal/attack/... \
     ./internal/slo/...
