@@ -10,14 +10,18 @@
 //	lupine-bench -json [-run id[,id...]]
 //	lupine-bench -run memstorm -trace-out=trace.json -metrics-out=metrics.json
 //	lupine-bench -csv=out/ [-run id[,id...]]
+//	lupine-bench -run netsplit -bench-out=BENCH_netsplit.json
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"time"
@@ -29,21 +33,32 @@ import (
 	"lupine/internal/telemetry"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list available experiments")
-	listApps := flag.Bool("list-apps", false, "list the application catalog the pipeline can build")
-	listFaults := flag.Bool("list-faults", false, "list registered fault-injection sites")
-	run := flag.String("run", "", "comma-separated experiment ids (default all)")
-	csvDir := flag.String("csv", "", "write each table as <dir>/<id>.csv (for plotting)")
-	jsonOut := flag.Bool("json", false, "emit results as a JSON array (machine-readable)")
-	seed := flag.Uint64("seed", 42, "fault-storm seed for the chaos experiment")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the runs (load in Perfetto or chrome://tracing)")
-	metricsOut := flag.String("metrics-out", "", "write the telemetry metrics registry as JSON (plus an OpenMetrics sibling at <path>.prom)")
-	sloOut := flag.String("slo-out", "", "write the per-experiment SLO reports (objectives, burns, alerts, incidents) as JSON")
-	flight := flag.Bool("flight", false, "print flight-recorder crash dumps after the runs")
-	benchOut := flag.String("bench-out", "", "run the -bench storm and append a wall-clock bench record to this JSON file")
-	bench := flag.String("bench", "netsplit", "which storm -bench-out samples: netsplit, regionfail, catalog, or breach")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes results to stdout and
+// diagnostics to stderr, and returns the exit status. Each experiment's
+// wall time goes to stderr, so a full run's stdout is deterministic.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lupine-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list available experiments")
+	listApps := fs.Bool("list-apps", false, "list the application catalog the pipeline can build")
+	listFaults := fs.Bool("list-faults", false, "list registered fault-injection sites")
+	runIDs := fs.String("run", "", "comma-separated experiment ids (default all)")
+	csvDir := fs.String("csv", "", "write each table as <dir>/<id>.csv (for plotting)")
+	jsonOut := fs.Bool("json", false, "emit results as a JSON array (machine-readable)")
+	seed := fs.Uint64("seed", 42, "fault-storm seed for the chaos experiment")
+	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON of the runs (load in Perfetto or chrome://tracing)")
+	metricsOut := fs.String("metrics-out", "", "write the telemetry metrics registry as JSON (plus an OpenMetrics sibling at <path>.prom)")
+	sloOut := fs.String("slo-out", "", "write the per-experiment SLO reports (objectives, burns, alerts, incidents) as JSON")
+	flight := fs.Bool("flight", false, "print flight-recorder crash dumps after the runs")
+	benchOut := fs.String("bench-out", "", "run the one storm -run names and append a wall-clock bench record to this JSON file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	experiments.SetChaosSeed(*seed)
 
@@ -62,23 +77,23 @@ func main() {
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-12s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-12s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	if *listApps {
 		// The same registry the bunny pipeline and the catalog experiment
 		// build from: Table 2's top-20 images, ordered by pulls.
-		fmt.Printf("%-12s %10s %6s %8s\n", "app", "downloads", "port", "options")
+		fmt.Fprintf(stdout, "%-12s %10s %6s %8s\n", "app", "downloads", "port", "options")
 		for _, a := range apps.Registry() {
 			port := "-"
 			if a.Port != 0 {
 				port = fmt.Sprintf("%d", a.Port)
 			}
-			fmt.Printf("%-12s %9.1fB %6s %8d\n", a.Name, a.DownloadsBillions, port, len(a.Options))
+			fmt.Fprintf(stdout, "%-12s %9.1fB %6s %8d\n", a.Name, a.DownloadsBillions, port, len(a.Options))
 		}
-		return
+		return 0
 	}
 
 	if *listFaults {
@@ -90,50 +105,58 @@ func main() {
 		for _, s := range faults.Sites() {
 			if s.Subsystem != subsystem {
 				if subsystem != "" {
-					fmt.Println()
+					fmt.Fprintln(stdout)
 				}
 				subsystem = s.Subsystem
-				fmt.Printf("%s:\n", subsystem)
+				fmt.Fprintf(stdout, "%s:\n", subsystem)
 			}
-			fmt.Printf("  %-26s %s\n", s.Name, s.Doc)
+			fmt.Fprintf(stdout, "  %-26s %s\n", s.Name, s.Doc)
 		}
-		return
+		return 0
+	}
+
+	// Stray commas ("chaos,", ",,surge") are noise, not ids.
+	var ids []string
+	for _, id := range strings.Split(*runIDs, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			ids = append(ids, id)
+		}
 	}
 
 	if *benchOut != "" {
-		if err := writeBenchRecord(*benchOut, *bench, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		storm, err := benchStorm(ids)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		return
+		if err := writeBenchRecord(*benchOut, storm, *seed); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		return 0
 	}
 
 	var selected []experiments.Experiment
-	if *run == "" {
+	if *runIDs == "" {
 		selected = experiments.All()
 	} else {
-		// Stray commas ("chaos,", ",,surge") are noise, not ids — skip
-		// them; an all-noise selector is an error, with the same valid-id
+		// An all-noise selector is an error, with the same valid-id
 		// listing Lookup gives for a typo.
-		for _, id := range strings.Split(*run, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
-				continue
-			}
+		for _, id := range ids {
 			e, err := experiments.Lookup(id)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				fmt.Fprintln(stderr, err)
+				return 2
 			}
 			selected = append(selected, e)
 		}
 		if len(selected) == 0 {
-			var ids []string
+			var all []string
 			for _, e := range experiments.All() {
-				ids = append(ids, e.ID)
+				all = append(all, e.ID)
 			}
-			fmt.Fprintf(os.Stderr, "-run selects no experiments (try: %v)\n", ids)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "-run selects no experiments (try: %v)\n", all)
+			return 2
 		}
 	}
 
@@ -143,7 +166,7 @@ func main() {
 		start := time.Now()
 		out, err := e.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: FAILED: %v\n", e.ID, err)
+			fmt.Fprintf(stderr, "%s: FAILED: %v\n", e.ID, err)
 			failed++
 			continue
 		}
@@ -153,62 +176,76 @@ func main() {
 		}
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, e.ID, out); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: writing CSV: %v\n", e.ID, err)
+				fmt.Fprintf(stderr, "%s: writing CSV: %v\n", e.ID, err)
 				failed++
 			}
 			continue
 		}
-		fmt.Printf("# %s — %s (wall %.1fs)\n\n%s\n", e.ID, e.Title,
-			time.Since(start).Seconds(), out)
+		fmt.Fprintf(stdout, "# %s — %s\n\n%s\n", e.ID, e.Title, out)
+		fmt.Fprintf(stderr, "# %s (wall %.1fs)\n", e.ID, time.Since(start).Seconds())
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(records); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 	if *traceOut != "" {
 		b := tracer.ChromeTrace()
 		if !json.Valid(b) {
-			fmt.Fprintln(os.Stderr, "trace-out: export is not valid JSON")
-			os.Exit(1)
+			fmt.Fprintln(stderr, "trace-out: export is not valid JSON")
+			return 1
 		}
 		if err := os.WriteFile(*traceOut, b, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 	if *metricsOut != "" {
 		if err := os.WriteFile(*metricsOut, registry.JSON(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		// The OpenMetrics sibling: the same registry in text exposition
 		// format, for anything that scrapes rather than parses JSON.
 		if err := os.WriteFile(*metricsOut+".prom", registry.OpenMetrics(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 	if *sloOut != "" {
 		if err := writeSLOReports(*sloOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 	if *flight {
 		for _, d := range tracer.Flight().Dumps() {
-			fmt.Print(d)
+			fmt.Fprint(stdout, d)
 		}
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// benchRecord is one wall-clock trajectory sample scripts/check.sh
+// benchStorm resolves -bench-out's selection: ids must name exactly one
+// storm of experiments.Storms().
+func benchStorm(ids []string) (experiments.Storm, error) {
+	var all []string
+	for _, s := range experiments.Storms() {
+		if len(ids) == 1 && s.ID == ids[0] {
+			return s, nil
+		}
+		all = append(all, s.ID)
+	}
+	return experiments.Storm{}, fmt.Errorf("-bench-out samples one storm: -run must name exactly one of %v", all)
+}
+
+// benchRecord is one wall-clock trajectory sample scripts/bench.sh
 // lands in BENCH_<storm>.json: how fast the event engine chews through
 // the storm on this machine, plus the headline results so a perf
 // regression that changes behavior is visible in the same file. The
@@ -255,31 +292,21 @@ func readBenchRecords(path string) ([]benchRecord, error) {
 	return []benchRecord{one}, nil
 }
 
-func writeBenchRecord(path, bench string, seed uint64) error {
+func writeBenchRecord(path string, storm experiments.Storm, seed uint64) error {
 	recs, err := readBenchRecords(path)
 	if err != nil {
 		return err
 	}
 	rec := benchRecord{
-		Experiment: bench,
+		Experiment: storm.ID,
 		When:       time.Now().UTC().Format(time.RFC3339),
 		Seed:       seed,
 	}
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	switch bench {
-	case "netsplit":
-		rec.Events, rec.Availability, rec.P99Micros, err = experiments.NetSplitBench()
-	case "regionfail":
-		rec.Events, rec.Availability, rec.DetectP99Micros, err = experiments.RegionFailBench()
-	case "catalog":
-		rec.Events, rec.Availability, rec.HitRate, err = experiments.CatalogBench()
-	case "breach":
-		rec.Events, rec.Availability, rec.Containment, err = experiments.BreachBench()
-	default:
-		return fmt.Errorf("bench-out: unknown storm %q (valid: netsplit, regionfail, catalog, breach)", bench)
-	}
+	var headline float64
+	rec.Events, rec.Availability, headline, err = storm.Bench()
 	if err != nil {
 		return fmt.Errorf("bench-out: %w", err)
 	}
@@ -291,12 +318,28 @@ func writeBenchRecord(path, bench string, seed uint64) error {
 		rec.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(rec.Events)
 		rec.BytesPerEvent = float64(after.TotalAlloc-before.TotalAlloc) / float64(rec.Events)
 	}
+	if err := rec.setHeadline(storm.Headline, headline); err != nil {
+		return err
+	}
 	recs = append(recs, rec)
 	b, err := json.MarshalIndent(recs, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
+}
+
+// setHeadline stores v in the record field whose JSON key is key — the
+// storm table names its headline by the key BENCH files already carry.
+func (r *benchRecord) setHeadline(key string, v float64) error {
+	rv := reflect.ValueOf(r).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if name, _, _ := strings.Cut(rv.Type().Field(i).Tag.Get("json"), ","); name == key {
+			rv.Field(i).SetFloat(v)
+			return nil
+		}
+	}
+	return fmt.Errorf("bench-out: no record field for headline %q", key)
 }
 
 // writeSLOReports lands every run experiment's SLO report — sorted by

@@ -106,41 +106,26 @@ func breachRegionConfig() region.Config {
 // first repave landing is kept so the tests can assert the alert fired
 // before the plane finished recovering.
 func runBreachRow(name, hardening string, boot simclock.Duration, scoped bool, cfg region.Config) (breachRow, error) {
-	inj, err := faults.New(breachPlan())
+	track := "breach/" + name
+	var objs []slo.Objective
+	if scoped {
+		objs = []slo.Objective{
+			{
+				Name:   "containment",
+				Good:   []string{track + ".deflects", track + ".detects"},
+				Bad:    []string{track + ".compromises"},
+				Target: 0.9,
+				Rules:  slo.DefaultRules(simclock.Millisecond, 5, 2),
+			},
+			sloRegionAvailability(track, cfg, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4)),
+		}
+	}
+	res, tr, scope, err := runRegionRow(track, breachPlan(), cfg, breachSloEvery, objs...)
 	if err != nil {
 		return breachRow{}, err
 	}
-	track := "breach/" + name
-	tr, reg := activeTrace, activeMetrics
-	var scope *slo.Scope
-	if scoped {
-		tr, reg = sloTelemetry()
-		var regions []string
-		for _, rs := range cfg.Regions {
-			regions = append(regions, rs.Name)
-		}
-		scope = slo.NewScope(track, reg, tr, breachSloEvery)
-		scope.Add(slo.Objective{
-			Name:   "containment",
-			Good:   []string{track + ".deflects", track + ".detects"},
-			Bad:    []string{track + ".compromises"},
-			Target: 0.9,
-			Rules:  slo.DefaultRules(simclock.Millisecond, 5, 2),
-		})
-		scope.Add(sloRegionAvailability(track, regions, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4)))
-		scope.SetInjector(inj)
-	}
-	inj.Observe(tr, track)
-	p := region.New(cfg, inj)
-	p.Observe(tr, reg, track)
+	row := breachRow{System: name, Hardening: hardening, Boot: boot, Res: res, scope: scope, firstRepave: -1}
 	if scope != nil {
-		scope.Bind(p.Clock())
-	}
-	res := p.Run()
-	row := breachRow{System: name, Hardening: hardening, Boot: boot, Res: res, firstRepave: -1}
-	if scope != nil {
-		scope.Finish(res.End)
-		row.scope = scope
 		for _, e := range tr.Events() {
 			if e.Cat == "region" && e.Name == "repave" && e.Track == track {
 				if row.firstRepave < 0 || e.At < row.firstRepave {
@@ -230,10 +215,7 @@ func runBreachStorm() ([]breachRow, error) {
 	// the compromise, the capacity is gone for good. (Their pools serve
 	// the workload here; the fork death of §6.2 is regionfail's story.)
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
+		boot := libosBoot(s)
 		cfg := breachRegionConfig()
 		cfg.ColdBoot = boot
 		cfg.Breach = &region.BreachConfig{Campaign: breachCampaignConfig()}

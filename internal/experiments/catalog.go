@@ -25,7 +25,6 @@ import (
 	"lupine/internal/metrics"
 	"lupine/internal/region"
 	"lupine/internal/simclock"
-	"lupine/internal/slo"
 	"lupine/internal/snapshot"
 	"lupine/internal/vmm"
 )
@@ -98,15 +97,7 @@ type catalogResult struct {
 	Cold     *farm.Result // first batch: the whole catalog, empty cache
 	Redeploy *farm.Result // second batch: same specs, warm cache + fault storm
 	Idents   []catalogIdentity
-	Rows     []catalogRow
-}
-
-type catalogRow struct {
-	System string
-	Warm   bool
-	Res    region.Result
-
-	scope *slo.Scope // SLO scope, set on the warm mixed row only
+	Rows     []regionRow
 }
 
 // catalogSpecs is the whole top-20 catalog as default-profile specs.
@@ -202,42 +193,6 @@ func catalogConfig(idents []catalogIdentity, cache *bunny.Cache, warm, upgrades 
 	return cfg
 }
 
-// runCatalogRow drives one configured plane through the storm. The
-// scoped row carries the experiment's SLO scope: availability summed
-// across the three regional cells of the mixed-identity plane.
-func runCatalogRow(name string, warm, scoped bool, cfg region.Config) (catalogRow, error) {
-	inj, err := faults.New(catalogPlan())
-	if err != nil {
-		return catalogRow{}, err
-	}
-	track := "catalog/" + name
-	tr, reg := activeTrace, activeMetrics
-	var scope *slo.Scope
-	if scoped {
-		tr, reg = sloTelemetry()
-		var regions []string
-		for _, rs := range cfg.Regions {
-			regions = append(regions, rs.Name)
-		}
-		scope = slo.NewScope(track, reg, tr, sloEvery)
-		// Same shape as regionfail: three nines, 2 ms scale, so the slow
-		// rule reaches back from the evacuation burst to the blackout.
-		scope.Add(sloRegionAvailability(track, regions, 0.999, slo.DefaultRules(2*simclock.Millisecond, 10, 4)))
-		scope.SetInjector(inj)
-	}
-	inj.Observe(tr, track)
-	p := region.New(cfg, inj)
-	p.Observe(tr, reg, track)
-	if scope != nil {
-		scope.Bind(p.Clock())
-	}
-	res := p.Run()
-	if scope != nil {
-		scope.Finish(res.End)
-	}
-	return catalogRow{System: name, Warm: warm, Res: res, scope: scope}, nil
-}
-
 // runCatalogStorm executes both phases and returns the raw results.
 func runCatalogStorm() (*catalogResult, error) {
 	cache := bunny.NewCache(db(), 0)
@@ -247,7 +202,7 @@ func runCatalogStorm() (*catalogResult, error) {
 	}
 
 	// Row 1: warm per-identity lineages, replicated, rolling upgrades.
-	row, err := runCatalogRow("lupine-mixed", true, true, catalogConfig(res.Idents, cache, true, true))
+	row, err := runFailoverRow("catalog", catalogPlan(), "lupine-mixed", true, true, catalogConfig(res.Idents, cache, true, true))
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +212,7 @@ func runCatalogStorm() (*catalogResult, error) {
 	// Row 2: the same mixed plane with no snapshot story — every
 	// replacement, evacuee and upgrade replacement pays its identity's
 	// measured cold boot.
-	row, err = runCatalogRow("lupine-mixed-cold", false, false, catalogConfig(res.Idents, cache, false, true))
+	row, err = runFailoverRow("catalog", catalogPlan(), "lupine-mixed-cold", false, false, catalogConfig(res.Idents, cache, false, true))
 	if err != nil {
 		return nil, err
 	}
@@ -266,29 +221,17 @@ func runCatalogStorm() (*catalogResult, error) {
 	// The unikernel comparators: same mixed plane shape, but the pools
 	// die of the workload's first fork wherever the plane restores them.
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		crash := vmm.Attempt{
-			Outcome:    vmm.OutcomePanic,
-			Ready:      true,
-			ReadyAfter: boot,
-			Ran:        boot + simclock.Millisecond,
-			Detail:     s.Fork().Error(),
-		}
+		crash := forkCrash(s, simclock.Millisecond)
 		cfg := catalogConfig(res.Idents, cache, false, false)
 		for i := range cfg.Identities {
 			cfg.Identities[i].Snapshot = nil
-			cfg.Identities[i].ColdBoot = boot
+			cfg.Identities[i].ColdBoot = crash.ReadyAfter
 		}
 		track := "catalog/" + s.Name
 		cfg.Timeline = func(ri, vi int) fleet.Timeline {
-			sup := vmm.NewSupervisor(vmm.RestartPolicy{})
-			sup.Observe(activeTrace, fmt.Sprintf("%s/r%d/vm%d", track, ri, vi))
-			return fleet.FromReport(sup.Run(func(int) vmm.Attempt { return crash }))
+			return crashTimeline(fmt.Sprintf("%s/r%d/vm%d", track, ri, vi), crash)
 		}
-		row, err = runCatalogRow(s.Name, false, false, cfg)
+		row, err = runFailoverRow("catalog", catalogPlan(), s.Name, false, false, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -322,13 +265,6 @@ func runCatalog() (fmt.Stringer, error) {
 			"upgraded", "placed-u-upgraded", "shed r0/r1/r2", "unrecovered"},
 	}
 	for _, r := range res.Rows {
-		shed := ""
-		for i, rs := range r.Res.PerRegion {
-			if i > 0 {
-				shed += "/"
-			}
-			shed += fmt.Sprintf("%d", rs.Shed)
-		}
 		t.AddRow(
 			r.System,
 			metrics.Percent(r.Res.Availability()),
@@ -336,7 +272,7 @@ func runCatalog() (fmt.Stringer, error) {
 			fmt.Sprintf("%d/%d/%d", r.Res.EvacRestores, r.Res.EvacFallbacks, r.Res.EvacCold),
 			r.Res.Upgraded,
 			identSummary(r.Res),
-			shed,
+			shedSummary(r.Res),
 			r.Res.Unrecovered,
 		)
 	}

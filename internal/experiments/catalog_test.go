@@ -86,7 +86,7 @@ func TestCatalogStorm(t *testing.T) {
 	if want := 2 + len(libos.All()); len(res.Rows) != want {
 		t.Fatalf("storm produced %d rows, want %d", len(res.Rows), want)
 	}
-	byRow := map[string]catalogRow{}
+	byRow := map[string]regionRow{}
 	for _, r := range res.Rows {
 		byRow[r.System] = r
 		if got := r.Res.OK + r.Res.Shed + r.Res.Failed; got != r.Res.Total {

@@ -339,17 +339,7 @@ func runChaosStorm() ([]chaosResult, error) {
 	// kills them, and their monitors have no restart story — the service
 	// stays down for the rest of the storm.
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		crash := vmm.Attempt{
-			Outcome:    vmm.OutcomePanic,
-			Ready:      true,
-			ReadyAfter: boot,
-			Ran:        boot + simclock.Millisecond,
-			Detail:     s.Fork().Error(),
-		}
+		crash := forkCrash(s, simclock.Millisecond)
 		sup := vmm.NewSupervisor(vmm.RestartPolicy{})
 		sup.Observe(activeTrace, "chaos/"+s.Name)
 		rep := sup.Run(func(int) vmm.Attempt { return crash })

@@ -168,7 +168,7 @@ func runFleetChaosStorm() ([]fleetChaosResult, error) {
 		{"microvm", core.BuildOpts{}, func() (*core.Unikernel, error) { return core.BuildMicroVM(db(), spec) }},
 	}
 	var out []fleetChaosResult
-	var heroScope *slo.Scope
+	var scopes []*slo.Scope // the hero row's; sloRecord drops the unscoped rows' nils
 	for _, r := range rows {
 		u, err := r.build()
 		if err != nil {
@@ -212,29 +212,20 @@ func runFleetChaosStorm() ([]fleetChaosResult, error) {
 			return nil, err
 		}
 		track := "fleetchaos/" + r.name
-		tr, reg := activeTrace, activeMetrics
-		var scope *slo.Scope
+		var objs []slo.Objective
 		if r.name == "lupine+mp" {
 			// The hero row's SLO scope: availability and latency SLIs
 			// sampled on the fleet's own clock, burns attributed to the
 			// wire storm and the pool's supervised damage.
-			tr, reg = sloTelemetry()
-			scope = slo.NewScope(track, reg, tr, sloEvery)
-			scope.Add(sloAvailability(track, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4)))
-			scope.Add(sloLatency(track, 2*simclock.Millisecond, 0.9, slo.DefaultRules(simclock.Millisecond, 5, 2)))
-			scope.SetInjector(winj)
+			objs = sloFleetObjectives(track, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4))
 		}
-		winj.Observe(tr, track)
+		tr, reg, scope := stormRow(track, winj, sloEvery, objs...)
 		f := fleet.New(cfg, backends, plan, winj)
 		f.Observe(tr, reg, track)
-		if scope != nil {
-			scope.Bind(f.Clock())
-			heroScope = scope
-		}
+		scope.Bind(f.Clock())
 		res := f.Run()
-		if scope != nil {
-			scope.Finish(res.End)
-		}
+		scope.Finish(res.End)
+		scopes = append(scopes, scope)
 		builds, hits := cache.Stats()
 		out = append(out, fleetChaosResult{
 			System:    r.name,
@@ -251,37 +242,21 @@ func runFleetChaosStorm() ([]fleetChaosResult, error) {
 	// the balancer is left routing at nothing. No rolling upgrade either:
 	// these monitors cannot rebuild and re-admit a Linux image.
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		crash := vmm.Attempt{
-			Outcome:    vmm.OutcomePanic,
-			Ready:      true,
-			ReadyAfter: boot,
-			Ran:        boot + simclock.Millisecond,
-			Detail:     s.Fork().Error(),
-		}
-		var backends []*fleet.Backend
-		for i := 0; i < fleetPoolSize; i++ {
-			sup := vmm.NewSupervisor(vmm.RestartPolicy{})
-			sup.Observe(activeTrace, fmt.Sprintf("fleetchaos/%s/vm%d", s.Name, i))
-			rep := sup.Run(func(int) vmm.Attempt { return crash })
-			backends = append(backends, fleet.NewBackend(fmt.Sprintf("vm%d", i), fleet.FromReport(rep)))
-		}
+		track := "fleetchaos/" + s.Name
+		backends := crashBackends(track, fleetPoolSize, forkCrash(s, simclock.Millisecond))
 		cfg := fleetConfig()
 		cfg.TrafficStart = simclock.Time(fleetBootTime(backends) + simclock.Millisecond)
 		winj, err := faults.New(fleetWirePlan(cfg.TrafficStart))
 		if err != nil {
 			return nil, err
 		}
-		winj.Observe(activeTrace, "fleetchaos/"+s.Name)
+		tr, reg, _ := stormRow(track, winj, sloEvery)
 		f := fleet.New(cfg, backends, nil, winj)
-		f.Observe(activeTrace, activeMetrics, "fleetchaos/"+s.Name)
+		f.Observe(tr, reg, track)
 		res := f.Run()
 		out = append(out, fleetChaosResult{System: s.Name, Res: res, Backends: f.Backends()})
 	}
-	sloRecord("fleetchaos", heroScope)
+	sloRecord("fleetchaos", scopes...)
 	return out, nil
 }
 

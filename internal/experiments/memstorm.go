@@ -298,17 +298,12 @@ func runMemLadderPool(name string, u *core.Unikernel, artifacts []*snapshot.Snap
 	// pressure sheds and kill-driven latency burn the budget, and the
 	// incident chain names the armed reclaim stalls plus the ladder
 	// rungs that climbed in response.
-	tr, reg := activeTrace, activeMetrics
-	var scope *slo.Scope
+	var objs []slo.Objective
 	if inj != nil {
-		tr, reg = sloTelemetry()
-		scope = slo.NewScope(track, reg, tr, sloEvery)
-		scope.Add(sloAvailability(track, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4)))
-		scope.Add(sloLatency(track, 2*simclock.Millisecond, 0.9, slo.DefaultRules(simclock.Millisecond, 5, 2)))
-		scope.SetInjector(inj)
-		out.scope = scope
+		objs = sloFleetObjectives(track, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4))
 	}
-	inj.Observe(tr, track)
+	tr, reg, scope := stormRow(track, inj, sloEvery, objs...)
+	out.scope = scope
 
 	// The origin VM boots once under a no-restart supervisor so its boot
 	// phases and attempt land on the trace. Behavior is identical to a bare
@@ -410,13 +405,9 @@ func runMemLadderPool(name string, u *core.Unikernel, artifacts []*snapshot.Snap
 	f := fleet.New(memConfig(), backends, nil, nil)
 	f.Observe(tr, reg, track)
 	f.AttachMemory(p, memTickEvery)
-	if scope != nil {
-		scope.Bind(f.Clock())
-	}
+	scope.Bind(f.Clock())
 	out.Res = f.Run()
-	if scope != nil {
-		scope.Finish(out.Res.End)
-	}
+	scope.Finish(out.Res.End)
 	out.Capacity = capacity
 	return out, nil
 }
@@ -425,10 +416,6 @@ func runMemLadderPool(name string, u *core.Unikernel, artifacts []*snapshot.Snap
 // shape, scaled to its own footprint.
 func runMemCrashPool(s *libos.System) (memResult, error) {
 	out := memResult{System: s.Name}
-	coldBoot := 10 * simclock.Millisecond
-	if bt, err := s.BootTime("redis"); err == nil {
-		coldBoot = bt
-	}
 	footprint := int64(64 * guest.MiB)
 	if fp, err := s.MemoryFootprint("redis"); err == nil {
 		footprint = fp
@@ -441,7 +428,7 @@ func runMemCrashPool(s *libos.System) (memResult, error) {
 
 	p := &memCrash{
 		footprint: footprint,
-		coldBoot:  coldBoot,
+		coldBoot:  libosBoot(s),
 		perTick:   pageAlign(perMember / memTicks()),
 	}
 	p.acct = hostmem.New(hostmem.Config{Capacity: capacity, Overcommit: memOvercommit})

@@ -157,25 +157,16 @@ func netsplitRun(backends []*fleet.Backend, policy, track string, scoped bool) (
 	if err != nil {
 		return fleet.Result{}, nil, fabric.Stats{}, nil, err
 	}
-	tr, reg := activeTrace, activeMetrics
-	var scope *slo.Scope
+	var objs []slo.Objective
 	if scoped {
-		tr, reg = sloTelemetry()
-		scope = slo.NewScope(track, reg, tr, sloEvery)
-		scope.Add(sloAvailability(track, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4)))
-		scope.Add(sloLatency(track, 2*simclock.Millisecond, 0.9, slo.DefaultRules(simclock.Millisecond, 5, 2)))
-		scope.SetInjector(winj)
+		objs = sloFleetObjectives(track, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4))
 	}
-	winj.Observe(tr, track)
+	tr, reg, scope := stormRow(track, winj, sloEvery, objs...)
 	f := fleet.New(cfg, backends, nil, winj)
 	f.Observe(tr, reg, track)
-	if scope != nil {
-		scope.Bind(f.Clock())
-	}
+	scope.Bind(f.Clock())
 	res := f.Run()
-	if scope != nil {
-		scope.Finish(res.End)
-	}
+	scope.Finish(res.End)
 	return res, f.Backends(), f.Net().Stats(), scope, nil
 }
 
@@ -200,7 +191,7 @@ func runNetSplitStorm() ([]netsplitResult, error) {
 		}},
 	}
 	var out []netsplitResult
-	var heroScope *slo.Scope
+	var scopes []*slo.Scope // the hero row's; sloRecord drops the unscoped rows' nils
 	for _, v := range variants {
 		u, err := v.build()
 		if err != nil {
@@ -218,9 +209,7 @@ func runNetSplitStorm() ([]netsplitResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			if scope != nil {
-				heroScope = scope
-			}
+			scopes = append(scopes, scope)
 			out = append(out, netsplitResult{
 				System:    v.name,
 				Policy:    policy,
@@ -236,25 +225,8 @@ func runNetSplitStorm() ([]netsplitResult, error) {
 	// fork before the partition even lands — the storm has nobody left
 	// to partition, and the balancer sheds at the wire.
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		crash := vmm.Attempt{
-			Outcome:    vmm.OutcomePanic,
-			Ready:      true,
-			ReadyAfter: boot,
-			Ran:        boot + simclock.Millisecond,
-			Detail:     s.Fork().Error(),
-		}
 		track := "netsplit/" + s.Name
-		var backends []*fleet.Backend
-		for i := 0; i < fleetPoolSize; i++ {
-			sup := vmm.NewSupervisor(vmm.RestartPolicy{})
-			sup.Observe(activeTrace, fmt.Sprintf("%s/vm%d", track, i))
-			rep := sup.Run(func(int) vmm.Attempt { return crash })
-			backends = append(backends, fleet.NewBackend(fmt.Sprintf("vm%d", i), fleet.FromReport(rep)))
-		}
+		backends := crashBackends(track, fleetPoolSize, forkCrash(s, simclock.Millisecond))
 		recovered := netsplitRecovered(backends)
 		res, pool, ns, _, err := netsplitRun(backends, fleet.PolicyRR, track, false)
 		if err != nil {
@@ -265,7 +237,7 @@ func runNetSplitStorm() ([]netsplitResult, error) {
 			Res: res, Backends: pool, Net: ns, Recovered: recovered,
 		})
 	}
-	sloRecord("netsplit", heroScope)
+	sloRecord("netsplit", scopes...)
 	return out, nil
 }
 

@@ -26,7 +26,6 @@ import (
 	"lupine/internal/metrics"
 	"lupine/internal/region"
 	"lupine/internal/simclock"
-	"lupine/internal/slo"
 	"lupine/internal/snapshot"
 	"lupine/internal/vmm"
 )
@@ -81,56 +80,9 @@ func regionFailConfig() region.Config {
 	return cfg
 }
 
-// regionFailResult is one table row plus what the tests assert on.
-type regionFailResult struct {
-	System string
-	Warm   bool // replicated snapshot warm pool available
-	Res    region.Result
-
-	scope *slo.Scope // SLO scope, set on the warm lupine+mp row only
-}
-
-// runRegionFailRow drives one configured plane through the storm. The
-// scoped row carries the experiment's SLO scope: availability summed
-// across the three regional cells, so a blackout burns the budget until
-// the survivors absorb the dead region's share.
-func runRegionFailRow(name string, warm, scoped bool, cfg region.Config) (regionFailResult, error) {
-	inj, err := faults.New(regionFailPlan())
-	if err != nil {
-		return regionFailResult{}, err
-	}
-	track := "regionfail/" + name
-	tr, reg := activeTrace, activeMetrics
-	var scope *slo.Scope
-	if scoped {
-		tr, reg = sloTelemetry()
-		var regions []string
-		for _, rs := range cfg.Regions {
-			regions = append(regions, rs.Name)
-		}
-		scope = slo.NewScope(track, reg, tr, sloEvery)
-		// Three nines with a 2 ms scale: the plane's badness is a thin
-		// burst right after the blackout, so the slow rule's window must
-		// be wide enough to catch it and reach back to the fault.
-		scope.Add(sloRegionAvailability(track, regions, 0.999, slo.DefaultRules(2*simclock.Millisecond, 10, 4)))
-		scope.SetInjector(inj)
-	}
-	inj.Observe(tr, track)
-	p := region.New(cfg, inj)
-	p.Observe(tr, reg, track)
-	if scope != nil {
-		scope.Bind(p.Clock())
-	}
-	res := p.Run()
-	if scope != nil {
-		scope.Finish(res.End)
-	}
-	return regionFailResult{System: name, Warm: warm, Res: res, scope: scope}, nil
-}
-
 // runRegionFailStorm executes the full comparison and returns the raw
 // results (the test entry point; runRegionFail renders them).
-func runRegionFailStorm() ([]regionFailResult, error) {
+func runRegionFailStorm() ([]regionRow, error) {
 	spec, _, err := appSpec("redis")
 	if err != nil {
 		return nil, err
@@ -144,7 +96,7 @@ func runRegionFailStorm() ([]regionFailResult, error) {
 		return nil, fmt.Errorf("regionfail: capturing snapshot: %w", err)
 	}
 
-	var out []regionFailResult
+	var out []regionRow
 
 	// Row 1: the full story — warm pool captured once, replicated to
 	// every region ahead of need, evacuation restores from the replicas.
@@ -153,7 +105,7 @@ func runRegionFailStorm() ([]regionFailResult, error) {
 	cfg.Monitor = vmm.Firecracker()
 	cfg.Replicate = true
 	cfg.ColdBoot = coldBoot
-	r, err := runRegionFailRow("lupine+mp", true, true, cfg)
+	r, err := runFailoverRow("regionfail", regionFailPlan(), "lupine+mp", true, true, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +116,7 @@ func runRegionFailStorm() ([]regionFailResult, error) {
 	// replacement and every evacuee pays the full measured boot.
 	cfg = regionFailConfig()
 	cfg.ColdBoot = coldBoot
-	r, err = runRegionFailRow("lupine+mp-cold", false, false, cfg)
+	r, err = runFailoverRow("regionfail", regionFailPlan(), "lupine+mp-cold", false, false, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -175,26 +127,14 @@ func runRegionFailStorm() ([]regionFailResult, error) {
 	// plane restores them, because the kernel, not the region, is what
 	// cannot run the workload.
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		crash := vmm.Attempt{
-			Outcome:    vmm.OutcomePanic,
-			Ready:      true,
-			ReadyAfter: boot,
-			Ran:        boot + simclock.Millisecond,
-			Detail:     s.Fork().Error(),
-		}
+		crash := forkCrash(s, simclock.Millisecond)
 		cfg = regionFailConfig()
-		cfg.ColdBoot = boot
+		cfg.ColdBoot = crash.ReadyAfter
 		track := "regionfail/" + s.Name
 		cfg.Timeline = func(ri, vi int) fleet.Timeline {
-			sup := vmm.NewSupervisor(vmm.RestartPolicy{})
-			sup.Observe(activeTrace, fmt.Sprintf("%s/r%d/vm%d", track, ri, vi))
-			return fleet.FromReport(sup.Run(func(int) vmm.Attempt { return crash }))
+			return crashTimeline(fmt.Sprintf("%s/r%d/vm%d", track, ri, vi), crash)
 		}
-		r, err = runRegionFailRow(s.Name, false, false, cfg)
+		r, err = runFailoverRow("regionfail", regionFailPlan(), s.Name, false, false, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -219,13 +159,6 @@ func runRegionFail() (fmt.Stringer, error) {
 		if r.Warm {
 			warm = "yes"
 		}
-		shed := ""
-		for i, rs := range r.Res.PerRegion {
-			if i > 0 {
-				shed += "/"
-			}
-			shed += fmt.Sprintf("%d", rs.Shed)
-		}
 		t.AddRow(
 			r.System,
 			warm,
@@ -236,7 +169,7 @@ func runRegionFail() (fmt.Stringer, error) {
 			fmt.Sprintf("%d/%d/%d", r.Res.EvacRestores, r.Res.EvacFallbacks, r.Res.EvacCold),
 			r.Res.EvacReadyPercentile(50).Microseconds(),
 			r.Res.EvacDuration().Microseconds(),
-			shed,
+			shedSummary(r.Res),
 			r.Res.Unrecovered,
 		)
 	}

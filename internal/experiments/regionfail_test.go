@@ -32,7 +32,7 @@ func TestRegionFailContrast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byRow := map[string]regionFailResult{}
+	byRow := map[string]regionRow{}
 	for _, r := range results {
 		byRow[r.System] = r
 		res := r.Res

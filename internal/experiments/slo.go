@@ -19,6 +19,7 @@ import (
 	"sort"
 	"sync"
 
+	"lupine/internal/region"
 	"lupine/internal/simclock"
 	"lupine/internal/slo"
 	"lupine/internal/telemetry"
@@ -43,36 +44,35 @@ func sloTelemetry() (*telemetry.Tracer, *telemetry.Registry) {
 	return tr, reg
 }
 
-// sloAvailability is the standard fleet-row availability objective:
-// served requests are good, sheds and failures burn the budget.
-func sloAvailability(track string, target float64, rules []slo.BurnRule) slo.Objective {
-	return slo.Objective{
-		Name:   "availability",
-		Good:   []string{track + ".served"},
-		Bad:    []string{track + ".shed", track + ".failed"},
-		Target: target,
-		Rules:  rules,
-	}
-}
-
-// sloLatency is the standard fleet-row latency objective: the fraction
-// of served requests completing within threshold.
-func sloLatency(track string, threshold simclock.Duration, target float64, rules []slo.BurnRule) slo.Objective {
-	return slo.Objective{
-		Name:      "latency",
-		Hist:      track + ".latency",
-		Threshold: threshold,
-		Target:    target,
-		Rules:     rules,
+// sloFleetObjectives is the standard fleet-row objective pair:
+// availability (served requests are good, sheds and failures burn the
+// budget) at target under rules, and latency (the fraction of served
+// requests completing within 2 ms) at 90%.
+func sloFleetObjectives(track string, target float64, rules []slo.BurnRule) []slo.Objective {
+	return []slo.Objective{
+		{
+			Name:   "availability",
+			Good:   []string{track + ".served"},
+			Bad:    []string{track + ".shed", track + ".failed"},
+			Target: target,
+			Rules:  rules,
+		},
+		{
+			Name:      "latency",
+			Hist:      track + ".latency",
+			Threshold: 2 * simclock.Millisecond,
+			Target:    0.9,
+			Rules:     slo.DefaultRules(simclock.Millisecond, 5, 2),
+		},
 	}
 }
 
 // sloRegionAvailability sums the availability SLI across a region
 // plane's per-region cells (the cells observe at track+"/"+name).
-func sloRegionAvailability(track string, regions []string, target float64, rules []slo.BurnRule) slo.Objective {
+func sloRegionAvailability(track string, cfg region.Config, target float64, rules []slo.BurnRule) slo.Objective {
 	o := slo.Objective{Name: "availability", Target: target, Rules: rules}
-	for _, r := range regions {
-		lane := track + "/" + r
+	for _, r := range cfg.Regions {
+		lane := track + "/" + r.Name
 		o.Good = append(o.Good, lane+".served")
 		o.Bad = append(o.Bad, lane+".shed", lane+".failed")
 	}

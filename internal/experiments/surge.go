@@ -132,7 +132,6 @@ func surgeCapture(u *core.Unikernel) (*snapshot.Snapshot, simclock.Duration, int
 // snapshot plane's seeded fault storm against the restores.
 func runSurgeVariant(name string, snap *snapshot.Snapshot, faulty bool, coldBoot simclock.Duration, coldRSS int64, tl func() fleet.Timeline) (surgeResult, error) {
 	res := surgeResult{System: name, Snapshots: snap != nil, ColdBoot: coldBoot, ColdRSS: coldRSS}
-	tr, reg := activeTrace, activeMetrics
 	var (
 		cs   *snapshot.CloneSet
 		sinj *faults.Injector
@@ -147,6 +146,16 @@ func runSurgeVariant(name string, snap *snapshot.Snapshot, faulty bool, coldBoot
 			}
 		}
 	}
+	// The storm row's SLO scope: the spike's ramp and the seeded restore
+	// faults both show up as availability burn, attributed to the
+	// snapshot plane's fire log.
+	track := "surge/" + name
+	var objs []slo.Objective
+	if faulty {
+		objs = sloFleetObjectives(track, 0.95, slo.DefaultRules(simclock.Millisecond, 8, 3))
+	}
+	tr, reg, scope := stormRow(track, sinj, sloEvery, objs...)
+	res.scope = scope
 	timeline := fleet.AlwaysUp
 	if tl != nil {
 		timeline = tl
@@ -156,7 +165,7 @@ func runSurgeVariant(name string, snap *snapshot.Snapshot, faulty bool, coldBoot
 		if snap == nil {
 			return fleet.Launch{Ready: coldBoot, Timeline: timeline()}
 		}
-		rr := snap.RestoreObserved(mon, sinj, now, coldBoot, tr, "surge/"+name)
+		rr := snap.RestoreObserved(mon, sinj, now, coldBoot, tr, track)
 		if !rr.Restored {
 			res.Fallbacks++
 			return fleet.Launch{Ready: rr.Ready, Timeline: timeline()}
@@ -181,29 +190,11 @@ func runSurgeVariant(name string, snap *snapshot.Snapshot, faulty bool, coldBoot
 	for i := 0; i < surgeMin; i++ {
 		backends = append(backends, fleet.NewBackend(fmt.Sprintf("vm%d", i), timeline()))
 	}
-	// The storm row's SLO scope: the spike's ramp and the seeded restore
-	// faults both show up as availability burn, attributed to the
-	// snapshot plane's fire log.
-	track := "surge/" + name
-	if faulty {
-		tr, reg = sloTelemetry()
-		res.scope = slo.NewScope(track, reg, tr, sloEvery)
-		res.scope.Add(sloAvailability(track, 0.95, slo.DefaultRules(simclock.Millisecond, 8, 3)))
-		res.scope.Add(sloLatency(track, 2*simclock.Millisecond, 0.9, slo.DefaultRules(simclock.Millisecond, 5, 2)))
-		res.scope.SetInjector(sinj)
-	}
-	if sinj != nil {
-		sinj.Observe(tr, track)
-	}
 	f := fleet.NewAutoscaled(cfg, backends, surgePolicy(provision), nil, nil)
 	f.Observe(tr, reg, track)
-	if res.scope != nil {
-		res.scope.Bind(f.Clock())
-	}
+	scope.Bind(f.Clock())
 	res.Res = f.Run()
-	if res.scope != nil {
-		res.scope.Finish(res.Res.End)
-	}
+	scope.Finish(res.Res.End)
 
 	// Pool memory at peak: cold instances (the initial pool and every
 	// cold-boot launch) each pay a full RSS; restored clones share the
@@ -283,17 +274,7 @@ func runSurgeStorm() ([]surgeResult, error) {
 	// cold boots, serves briefly, crashes, and gets crash-restarted until
 	// the supervisor gives up.
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		crash := vmm.Attempt{
-			Outcome:    vmm.OutcomePanic,
-			Ready:      true,
-			ReadyAfter: boot,
-			Ran:        boot + 2*simclock.Millisecond,
-			Detail:     s.Fork().Error(),
-		}
+		crash := forkCrash(s, 2*simclock.Millisecond)
 		tl := func() fleet.Timeline {
 			rep := vmm.Supervise(vmm.RestartPolicy{MaxRestarts: 5, Backoff: 5 * simclock.Millisecond},
 				func(int) vmm.Attempt { return crash })
@@ -303,7 +284,7 @@ func runSurgeStorm() ([]surgeResult, error) {
 		if fp, err := s.MemoryFootprint("redis"); err == nil {
 			rssPer = fp
 		}
-		res, err := runSurgeVariant(s.Name, nil, false, boot, rssPer, tl)
+		res, err := runSurgeVariant(s.Name, nil, false, crash.ReadyAfter, rssPer, tl)
 		if err != nil {
 			return nil, err
 		}

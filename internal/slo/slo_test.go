@@ -235,6 +235,19 @@ func TestScopeBoundToClockSamplesDuringAdvance(t *testing.T) {
 	}
 }
 
+// An unscoped storm row holds a nil scope and still calls Bind and
+// Finish: both must be no-ops, and the clock must run as if unbound.
+func TestNilScopeBindAndFinishAreNoOps(t *testing.T) {
+	var s *Scope
+	clk := simclock.New()
+	s.Bind(clk)
+	clk.AdvanceTo(simclock.Time(350 * usec))
+	s.Finish(clk.Now())
+	if clk.Now() != simclock.Time(350*usec) {
+		t.Fatalf("clock at %v, want 350µs", clk.Now())
+	}
+}
+
 func TestReportDeterministic(t *testing.T) {
 	run := func() []byte {
 		rules := DefaultRules(200*usec, 8, 2)

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 
 for storm in netsplit regionfail catalog breach; do
     echo "== BENCH_$storm.json"
-    go run ./cmd/lupine-bench -bench="$storm" -bench-out="BENCH_$storm.json"
+    go run ./cmd/lupine-bench -run "$storm" -bench-out="BENCH_$storm.json"
     go run ./scripts/jsoncheck.go "BENCH_$storm.json"
 done
 echo "== appended one sample to each BENCH_*.json trajectory"

@@ -45,59 +45,24 @@ if [ "$registered" -ne "$listed" ]; then
 fi
 echo "   $listed sites registered and listed"
 
-# Trace determinism gate: two same-seed memstorm runs must export
+# Trace determinism gate: two same-seed runs of each storm must export
 # byte-identical, valid Chrome trace JSON. This is the telemetry plane's
-# core contract — virtual-time spans only, no wall clocks.
-echo "== trace determinism (memstorm, two same-seed runs)"
+# core contract — virtual-time spans only, no wall clocks — checked on
+# every plane: memstorm (host memory ladder), netsplit (the fabric:
+# partitions, flaps, loss, retransmissions, breaker verdicts),
+# regionfail (the multi-region control plane: placement, probes,
+# failover, evacuation), catalog (build farm + heterogeneous fleet) and
+# breach (containment: deflections, lateral hops, quarantine, repave).
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
-go run ./cmd/lupine-bench -run memstorm -trace-out="$tracedir/a.json" >/dev/null
-go run ./cmd/lupine-bench -run memstorm -trace-out="$tracedir/b.json" >/dev/null
-cmp "$tracedir/a.json" "$tracedir/b.json"
-go run ./scripts/jsoncheck.go "$tracedir/a.json"
-echo "   byte-identical and valid JSON"
-
-# The same gate for the fabric plane: two same-seed netsplit storms —
-# every partition, flap, loss, retransmission and breaker verdict on the
-# virtual wire — must export byte-identical traces.
-echo "== trace determinism (netsplit, two same-seed runs)"
-go run ./cmd/lupine-bench -run netsplit -trace-out="$tracedir/na.json" >/dev/null
-go run ./cmd/lupine-bench -run netsplit -trace-out="$tracedir/nb.json" >/dev/null
-cmp "$tracedir/na.json" "$tracedir/nb.json"
-go run ./scripts/jsoncheck.go "$tracedir/na.json"
-echo "   byte-identical and valid JSON"
-
-# And for the multi-region control plane: two same-seed regional storms
-# — placement, probe verdicts, failover declarations, evacuation
-# landings — must export byte-identical traces.
-echo "== trace determinism (regionfail, two same-seed runs)"
-go run ./cmd/lupine-bench -run regionfail -trace-out="$tracedir/ra.json" >/dev/null
-go run ./cmd/lupine-bench -run regionfail -trace-out="$tracedir/rb.json" >/dev/null
-cmp "$tracedir/ra.json" "$tracedir/rb.json"
-go run ./scripts/jsoncheck.go "$tracedir/ra.json"
-echo "   byte-identical and valid JSON"
-
-# And for the build pipeline + heterogeneous fleet: two same-seed
-# catalog runs — farm schedules, build-fault rebuilds, mixed-identity
-# placement, per-identity restores and rollouts — must export
-# byte-identical traces.
-echo "== trace determinism (catalog, two same-seed runs)"
-go run ./cmd/lupine-bench -run catalog -trace-out="$tracedir/ca.json" >/dev/null
-go run ./cmd/lupine-bench -run catalog -trace-out="$tracedir/cb.json" >/dev/null
-cmp "$tracedir/ca.json" "$tracedir/cb.json"
-go run ./scripts/jsoncheck.go "$tracedir/ca.json"
-echo "   byte-identical and valid JSON"
-
-# And for the containment plane: two same-seed breach campaigns — every
-# probe deflection, payload roll, lateral hop, canary detection,
-# quarantine, repave landing and region evacuation — must export
-# byte-identical traces.
-echo "== trace determinism (breach, two same-seed runs)"
-go run ./cmd/lupine-bench -run breach -trace-out="$tracedir/ba.json" >/dev/null
-go run ./cmd/lupine-bench -run breach -trace-out="$tracedir/bb.json" >/dev/null
-cmp "$tracedir/ba.json" "$tracedir/bb.json"
-go run ./scripts/jsoncheck.go "$tracedir/ba.json"
-echo "   byte-identical and valid JSON"
+for id in memstorm netsplit regionfail catalog breach; do
+    echo "== trace determinism ($id, two same-seed runs)"
+    go run ./cmd/lupine-bench -run "$id" -trace-out="$tracedir/$id-a.json" >/dev/null
+    go run ./cmd/lupine-bench -run "$id" -trace-out="$tracedir/$id-b.json" >/dev/null
+    cmp "$tracedir/$id-a.json" "$tracedir/$id-b.json"
+    go run ./scripts/jsoncheck.go "$tracedir/$id-a.json"
+    echo "   byte-identical and valid JSON"
+done
 
 # SLO report determinism gate: two same-seed memstorm runs must export
 # byte-identical SLO reports (objectives, burns, alerts, incident cause
@@ -117,7 +82,7 @@ echo "   byte-identical SLO report and OpenMetrics export, valid JSON"
 # one path that appends to those.
 echo "== bench records (netsplit, regionfail, catalog, breach; not appended)"
 for storm in netsplit regionfail catalog breach; do
-    go run ./cmd/lupine-bench -bench="$storm" -bench-out="$tracedir/BENCH_$storm.json"
+    go run ./cmd/lupine-bench -run "$storm" -bench-out="$tracedir/BENCH_$storm.json"
     go run ./scripts/jsoncheck.go "$tracedir/BENCH_$storm.json"
 done
 echo "   four bench records written and valid JSON"
